@@ -11,27 +11,12 @@
 //! Usage:
 //!   cargo run --release -p reo-bench --bin exp_normal_run [-- --locality weak|medium|strong] [--quick] [--trace]
 
-use reo_bench::{build_system, cache_size_sweep, export, run_once, FigureReport, Panel, RunScale};
+use reo_bench::{build_system, cache_size_sweep, export, run_once, BenchArgs, FigureReport, Panel};
 use reo_core::{
     parallel_map_ordered, sweep_threads, ExperimentPlan, ExperimentRunner, SchemeConfig,
 };
 use reo_sim::ByteSize;
 use reo_workload::{Locality, Trace, WorkloadSpec};
-
-fn locality_arg() -> Vec<Locality> {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--locality") {
-        match args.get(i + 1).map(String::as_str) {
-            Some("weak") => return vec![Locality::Weak],
-            Some("medium") => return vec![Locality::Medium],
-            Some("strong") => return vec![Locality::Strong],
-            other => {
-                eprintln!("unknown --locality {other:?}; running all three");
-            }
-        }
-    }
-    vec![Locality::Weak, Locality::Medium, Locality::Strong]
-}
 
 fn spec_for(locality: Locality) -> WorkloadSpec {
     match locality {
@@ -56,16 +41,19 @@ fn traced_run(locality: Locality, trace: &Trace) {
 }
 
 fn main() {
-    let scale = RunScale::from_args();
-    let traced = std::env::args().any(|a| a == "--trace");
+    let args = BenchArgs::from_env();
     let figure = |l: Locality| match l {
         Locality::Weak => 5,
         Locality::Medium => 6,
         Locality::Strong => 7,
     };
 
-    for locality in locality_arg() {
-        let spec = scale.scale_spec(spec_for(locality));
+    let localities = match args.locality {
+        Some(locality) => vec![locality],
+        None => vec![Locality::Weak, Locality::Medium, Locality::Strong],
+    };
+    for locality in localities {
+        let spec = args.scale.scale_spec(spec_for(locality));
         let trace = spec.generate(42);
         let summary = trace.summary();
         println!(
@@ -117,7 +105,7 @@ fn main() {
             .panel(lat)
             .write(&format!("fig{}_normal_run_{}", figure(locality), locality));
 
-        if traced {
+        if args.trace {
             traced_run(locality, &trace);
         }
     }

@@ -41,7 +41,7 @@
 //! `--mode parity` runs only the parity cells (the CI smoke job uses
 //! it to exercise the erasure-coded path without the full sweep).
 
-use reo_bench::{export, FigureReport, Panel, RunScale};
+use reo_bench::{export, BenchArgs, FigureReport, Panel};
 use reo_core::{
     parallel_map_ordered, sweep_threads, ClusterRunResult, ClusterSystem, ExperimentPlan,
     ParityGroupPolicy, PlannedEvent, ReplicationPolicy, SchemeConfig, SystemConfig,
@@ -277,12 +277,9 @@ fn run_parity_cells(trace: &reo_workload::Trace, n: usize) -> ParityCell {
 }
 
 fn main() {
-    let scale = RunScale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let parity_only = args.iter().any(|a| a == "--mode=parity")
-        || args
-            .windows(2)
-            .any(|w| w[0] == "--mode" && w[1] == "parity");
+    let BenchArgs {
+        scale, parity_only, ..
+    } = BenchArgs::from_env();
 
     // Write-intensive medium workload (Section VI-D, 30% writes):
     // replication and parity coverage are exercised by acked writes, so

@@ -7,7 +7,8 @@
 //! per x-axis point).
 //!
 //! Binaries accept `--quick` to shrink the workloads for smoke runs; the
-//! full (default) runs use the paper's parameters.
+//! full (default) runs use the paper's parameters. Any argument outside
+//! [`USAGE`] stops the binary with exit status 2 (see [`BenchArgs`]).
 
 pub mod export;
 
@@ -18,7 +19,7 @@ use reo_core::{
     CacheSystem, ExperimentPlan, ExperimentResult, ExperimentRunner, SchemeConfig, SystemConfig,
 };
 use reo_sim::ByteSize;
-use reo_workload::{Trace, WorkloadSpec};
+use reo_workload::{Locality, Trace, WorkloadSpec};
 use serde::Serialize;
 
 /// Scale factors for quick smoke runs vs full paper-scale runs.
@@ -32,14 +33,11 @@ pub enum RunScale {
 }
 
 impl RunScale {
-    /// Parses `--quick` (or its CI alias `--smoke`) from the process
-    /// arguments.
+    /// The scale the process arguments ask for (`--quick` or its CI
+    /// alias `--smoke`); exits like [`BenchArgs::from_env`] on any
+    /// argument outside [`USAGE`].
     pub fn from_args() -> RunScale {
-        if std::env::args().any(|a| a == "--quick" || a == "--smoke") {
-            RunScale::Quick
-        } else {
-            RunScale::Full
-        }
+        BenchArgs::from_env().scale
     }
 
     /// Applies the scale to a workload spec.
@@ -52,6 +50,88 @@ impl RunScale {
                 spec.with_objects(objects).with_requests(requests)
             }
         }
+    }
+}
+
+/// The arguments every experiment binary accepts.
+pub const USAGE: &str =
+    "[--quick|--smoke] [--trace] [--locality weak|medium|strong] [--mode parity]";
+
+/// An experiment binary's command line (see [`USAGE`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BenchArgs {
+    /// `--quick` / `--smoke` pick [`RunScale::Quick`].
+    pub scale: RunScale,
+    /// `--trace`: add the traced deep-dive run.
+    pub trace: bool,
+    /// `--locality weak|medium|strong`; `None` runs all three.
+    pub locality: Option<Locality>,
+    /// `--mode parity` (or `--mode=parity`): run only the parity cells.
+    pub parity_only: bool,
+}
+
+impl BenchArgs {
+    /// Parses the arguments that follow the program name.
+    ///
+    /// # Errors
+    ///
+    /// Names the first argument outside [`USAGE`]: an unknown flag, a
+    /// stray value, or a `--locality` / `--mode` value that is missing
+    /// or not one of the listed choices.
+    pub fn parse(args: &[String]) -> Result<BenchArgs, String> {
+        let mut parsed = BenchArgs {
+            scale: RunScale::Full,
+            trace: false,
+            locality: None,
+            parity_only: false,
+        };
+        let mut it = args.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            match arg {
+                "--quick" | "--smoke" => parsed.scale = RunScale::Quick,
+                "--trace" => parsed.trace = true,
+                "--locality" => {
+                    parsed.locality = Some(match it.next() {
+                        Some("weak") => Locality::Weak,
+                        Some("medium") => Locality::Medium,
+                        Some("strong") => Locality::Strong,
+                        other => return Err(bad_value("--locality", other)),
+                    });
+                }
+                "--mode=parity" => parsed.parity_only = true,
+                "--mode" => match it.next() {
+                    Some("parity") => parsed.parity_only = true,
+                    other => return Err(bad_value("--mode", other)),
+                },
+                other => return Err(format!("unknown argument `{other}`")),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// Parses the process arguments. On a parse error it prints the
+    /// error and a usage line to stderr and exits with status 2, before
+    /// any workload is generated.
+    pub fn from_env() -> BenchArgs {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        let rest: Vec<String> = args.collect();
+        BenchArgs::parse(&rest).unwrap_or_else(|e| {
+            let name = program
+                .rsplit(std::path::MAIN_SEPARATOR)
+                .next()
+                .unwrap_or("");
+            eprintln!("{name}: {e}\nusage: {name} {USAGE}");
+            std::process::exit(2)
+        })
+    }
+}
+
+/// The error for a missing or unknown `flag` value.
+fn bad_value(flag: &str, value: Option<&str>) -> String {
+    match value {
+        Some(v) => format!("unknown {flag} value `{v}`"),
+        None => format!("{flag} needs a value"),
     }
 }
 
@@ -233,6 +313,50 @@ mod tests {
         assert!(spec.requests < 51_057);
         let full = RunScale::Full.scale_spec(WorkloadSpec::medium());
         assert_eq!(full.requests, 51_057);
+    }
+
+    fn parse(args: &[&str]) -> Result<BenchArgs, String> {
+        BenchArgs::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn bench_args_accept_every_listed_form() {
+        let none = parse(&[]).expect("no arguments");
+        assert_eq!(none.scale, RunScale::Full);
+        assert!(!none.trace && !none.parity_only && none.locality.is_none());
+
+        for quick in ["--quick", "--smoke"] {
+            assert_eq!(parse(&[quick]).unwrap().scale, RunScale::Quick);
+        }
+        let traced = parse(&["--quick", "--trace", "--locality", "medium"]).unwrap();
+        assert!(traced.trace);
+        assert_eq!(traced.locality, Some(Locality::Medium));
+        assert_eq!(
+            parse(&["--locality", "weak"]).unwrap().locality,
+            Some(Locality::Weak)
+        );
+        assert_eq!(
+            parse(&["--locality", "strong"]).unwrap().locality,
+            Some(Locality::Strong)
+        );
+        assert!(parse(&["--mode", "parity"]).unwrap().parity_only);
+        assert!(parse(&["--mode=parity", "--quick"]).unwrap().parity_only);
+    }
+
+    #[test]
+    fn bench_args_reject_what_they_do_not_know() {
+        for (args, want) in [
+            (&["--quik"][..], "unknown argument `--quik`"),
+            (&["--quick", "--verbose"], "unknown argument `--verbose`"),
+            (&["quick"], "unknown argument `quick`"),
+            (&["--locality", "bogus"], "unknown --locality value `bogus`"),
+            (&["--locality"], "--locality needs a value"),
+            (&["--mode", "replica"], "unknown --mode value `replica`"),
+            (&["--mode=replica"], "unknown argument `--mode=replica`"),
+        ] {
+            let err = parse(args).expect_err("must reject");
+            assert_eq!(err, want, "args {args:?}");
+        }
     }
 
     #[test]
