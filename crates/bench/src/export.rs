@@ -8,14 +8,15 @@
 //! it two ways:
 //!
 //! * [`jsonl`] — machine-readable JSON lines, one record per line, each
-//!   tagged with a `kind` field (`meta`, `totals`, `class`, `layer`,
-//!   `device`, `cache`, `resilience`, `perf`, `placement`, `series`,
-//!   `slo`, `trace`, `postmortem`). The
-//!   first line is always the `meta` record carrying [`SCHEMA_VERSION`];
-//!   [`validate_jsonl`] checks a document against this schema — accepting
-//!   [`MIN_SCHEMA_VERSION`] through current, and flagging unknown fields
-//!   with a line number — (the CI smoke jobs run it on
-//!   real experiment outputs and the committed perf baseline).
+//!   tagged with a `kind` field. Every record kind is declared once, as
+//!   an ordered list of fields (name, JSON type, the schema version that
+//!   introduced it, and the accessor that emits it). The emitter walks
+//!   that declaration, [`validate_jsonl`] derives every rule from it, and
+//!   [`schema_markdown`] renders it as the schema table in DESIGN.md §7.
+//!   The first line is always the `meta` record carrying
+//!   [`SCHEMA_VERSION`]; the validator accepts [`MIN_SCHEMA_VERSION`]
+//!   through current (the CI smoke jobs run it on real experiment
+//!   outputs and the committed perf baseline).
 //! * [`render_summary`] — the aligned human tables the binaries print.
 //!
 //! Latencies are exported in milliseconds, byte volumes in MiB; raw
@@ -25,62 +26,21 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 
 use reo_core::{
-    CacheSystem, ClusterRunResult, ClusterSystem, DeviceId, DeviceReport, ExperimentResult,
-    MetricsSnapshot, SloSnapshot, TargetMetricsRow, TimeSeriesPoint,
+    CacheSystem, ClassSnapshot, ClusterRunResult, ClusterSystem, DeviceId, DeviceReport,
+    ExperimentResult, MetricsSnapshot, SloSnapshot, TargetMetricsRow, TimeSeriesPoint,
 };
-use reo_sim::{Layer, Postmortem, TraceBreakdown, TraceTree};
+use reo_sim::{Layer, LayerBreakdown, Postmortem, SimDuration, TraceBreakdown, TraceTree};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Version stamp of the JSON-lines schema; bumped whenever a record kind
-/// gains, loses, or renames a field. v2 added the crash-consistency
-/// counters (`journal_appends`, `checkpoint_count`, `replayed_records`,
-/// `torn_tail_detected`, `recovery_duration_us`) to `totals`/`series`.
-/// v3 added the singleton `resilience` record (health machine, degraded
-/// service counters, rebuild-throttle activity, per-class
-/// time-to-restored-redundancy). v4 added the optional repeated `perf`
-/// record (one microbenchmark measurement per line, emitted by the
-/// `perfbench` binary). v5 added the optional repeated `placement`
-/// record (one per cluster target, emitted by scale-out runs) plus the
-/// `internal_errors` counter and `rejected_events_by_reason` breakdown
-/// on `resilience`. v6 added the observability records: repeated `slo`
-/// (one per redundancy class with multi-window burn rates), repeated
-/// `trace` (one retained exemplar trace tree per line, spans nested as
-/// an id-keyed map), and repeated `postmortem` (one flight-recorder
-/// dump per line, events keyed by sequence number). v7 added the
-/// optional singleton `replication` record (cross-target replication
-/// policy and counters, emitted by cluster runs with a replication
-/// policy), `served_by_replica` on `totals`, and `replica_serves` on
-/// `placement` rows. v8 added the optional singleton `parity_group`
-/// record (erasure-coded cross-target protection: group geometry,
-/// degraded-serve / repair counters, per-class time-to-restored-
-/// redundancy, and the flash overhead split), `served_by_parity` on
-/// `totals`, and `parity_serves` on `placement` rows. v9 documents
-/// carry the same records and fields as v8.
+/// gains, loses, or renames a field. Each field declares the version
+/// that introduced it (see [`schema_markdown`]).
 pub const SCHEMA_VERSION: u64 = 9;
 
-/// Oldest schema version [`validate_jsonl`] still accepts: v5 through
-/// v9 only add record kinds and fields, so v4 documents (e.g. the
-/// committed perf baseline) remain valid.
+/// Oldest schema version [`validate_jsonl`] still accepts: later versions
+/// only add record kinds and fields, so v4 documents (e.g. the committed
+/// `results/cascade_run.jsonl`) remain valid.
 pub const MIN_SCHEMA_VERSION: u64 = 4;
-
-/// The record kinds a JSON-lines document may contain.
-pub const RECORD_KINDS: [&str; 15] = [
-    "meta",
-    "totals",
-    "class",
-    "layer",
-    "device",
-    "cache",
-    "resilience",
-    "perf",
-    "placement",
-    "series",
-    "slo",
-    "trace",
-    "postmortem",
-    "replication",
-    "parity_group",
-];
 
 /// Everything one run exports (see the module docs).
 #[derive(Clone, Debug)]
@@ -304,12 +264,6 @@ impl Deserialize for Raw {
     }
 }
 
-fn rec(kind: &str, fields: Vec<(&str, Value)>) -> Value {
-    let mut entries = vec![("kind".to_string(), Value::Str(kind.to_string()))];
-    entries.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    Value::Map(entries)
-}
-
 fn u(v: u64) -> Value {
     Value::U(v as u128)
 }
@@ -326,94 +280,433 @@ fn s(v: &str) -> Value {
     Value::Str(v.to_string())
 }
 
-// ---- JSON-lines rendering ----------------------------------------------
-
-fn totals_fields(snap: &MetricsSnapshot) -> Vec<(&'static str, Value)> {
-    vec![
-        ("requests", u(snap.requests)),
-        ("reads", u(snap.reads)),
-        ("read_hits", u(snap.read_hits)),
-        ("hit_ratio_pct", f(snap.hit_ratio_pct())),
-        ("writes", u(snap.writes)),
-        ("degraded_reads", u(snap.degraded_reads)),
-        ("requested_mib", f(snap.requested_bytes.as_mib_f64())),
-        ("device_mib", f(snap.device_bytes.as_mib_f64())),
-        ("backend_mib", f(snap.backend_bytes.as_mib_f64())),
-        ("amplification", f(snap.amplification())),
-        ("write_amplification", f(snap.write_amplification())),
-        ("read_amplification", f(snap.read_amplification())),
-        ("bandwidth_mib_s", f(snap.bandwidth_mib_s())),
-        ("mean_latency_ms", f(snap.mean_latency_ms())),
-        ("p99_latency_ms", f(snap.p99_latency.as_millis_f64())),
-        ("medium_errors", u(snap.medium_errors)),
-        ("repairs", u(snap.repairs)),
-        ("scrub_passes", u(snap.scrub_passes)),
-        ("unrecoverable_fallbacks", u(snap.unrecoverable_fallbacks)),
-        ("journal_appends", u(snap.journal_appends)),
-        ("checkpoint_count", u(snap.checkpoint_count)),
-        ("replayed_records", u(snap.replayed_records)),
-        ("torn_tail_detected", u(snap.torn_tail_detected)),
-        ("recovery_duration_us", u(snap.recovery_duration_us)),
-        ("served_by_replica", u(snap.served_by_replica)),
-        ("served_by_parity", u(snap.served_by_parity)),
-    ]
+fn mib(bytes: u64) -> Value {
+    f(bytes as f64 / (1024.0 * 1024.0))
 }
 
-fn placement_fields(row: &TargetMetricsRow) -> Vec<(&'static str, Value)> {
-    vec![
-        ("target", u(row.target as u64)),
-        ("health", s(&row.health)),
-        ("requests", u(row.requests)),
-        ("reads", u(row.reads)),
-        ("read_hits", u(row.read_hits)),
-        ("hit_ratio_pct", f(row.hit_ratio_pct())),
-        ("degraded_reads", u(row.degraded_reads)),
-        ("shed_requests", u(row.shed_requests)),
-        ("outages", u(row.outages)),
-        ("rebuild_window_us", i(row.rebuild_window_us)),
-        ("migrated_in", u(row.migrated_in)),
-        ("migrated_out", u(row.migrated_out)),
-        ("replica_serves", u(row.replica_serves)),
-        ("parity_serves", u(row.parity_serves)),
-        (
-            "sense_mix",
-            Value::Map(
-                row.sense_mix
-                    .iter()
-                    .map(|(label, count)| (label.clone(), u(*count)))
-                    .collect(),
-            ),
-        ),
-    ]
+fn counts(rows: &[(String, u64)]) -> Value {
+    Value::Map(rows.iter().map(|(k, n)| (k.clone(), u(*n))).collect())
 }
 
-fn slo_fields(row: &SloSnapshot) -> Vec<(&'static str, Value)> {
-    vec![
-        ("class", s(row.class)),
-        ("requests", u(row.requests)),
-        (
-            "latency_threshold_ms",
-            f(row.latency_threshold.as_millis_f64()),
-        ),
-        ("latency_target_pct", f(row.latency_target_pct)),
-        ("availability_target_pct", f(row.availability_target_pct)),
-        ("latency_compliance_pct", f(row.latency_compliance_pct())),
-        ("availability_pct", f(row.availability_pct())),
-        ("latency_burn_fast", f(row.latency_burn_fast())),
-        ("latency_burn_slow", f(row.latency_burn_slow())),
-        ("availability_burn_fast", f(row.availability_burn_fast())),
-        ("availability_burn_slow", f(row.availability_burn_slow())),
-        ("latency_breaches", u(row.latency_breaches)),
-        ("errors", u(row.errors)),
-    ]
+// ---- the schema: one declaration per record kind -----------------------
+
+/// The JSON type of a declared field.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Ty {
+    Num,
+    Str,
+    Bool,
+    Map,
 }
 
-/// One exemplar trace tree as a `trace` record. The vendored JSON value
-/// tree has no array type, so spans nest as a map keyed by the (1-based,
+impl Ty {
+    fn name(self) -> &'static str {
+        match self {
+            Ty::Num => "number",
+            Ty::Str => "string",
+            Ty::Bool => "bool",
+            Ty::Map => "map",
+        }
+    }
+
+    fn admits(self, v: &Value) -> bool {
+        matches!(
+            (self, v),
+            (Ty::Num, Value::U(_) | Value::I(_) | Value::F(_))
+                | (Ty::Str, Value::Str(_))
+                | (Ty::Bool, Value::Bool(_))
+                | (Ty::Map, Value::Map(_))
+        )
+    }
+}
+
+/// A field as the validator and the schema table see it.
+#[derive(Clone, Copy, Debug)]
+struct Column {
+    name: &'static str,
+    ty: Ty,
+    /// The schema version that introduced the field; documents declaring
+    /// this version or later must carry it.
+    since: u64,
+}
+
+/// One declared field of a record emitted from a `T`.
+struct Field<T> {
+    column: Column,
+    emit: fn(&T) -> Value,
+}
+
+const fn field<T>(name: &'static str, ty: Ty, since: u64, emit: fn(&T) -> Value) -> Field<T> {
+    Field {
+        column: Column { name, ty, since },
+        emit,
+    }
+}
+
+const fn num<T>(name: &'static str, since: u64, emit: fn(&T) -> Value) -> Field<T> {
+    field(name, Ty::Num, since, emit)
+}
+
+const fn text<T>(name: &'static str, since: u64, emit: fn(&T) -> Value) -> Field<T> {
+    field(name, Ty::Str, since, emit)
+}
+
+const fn flag<T>(name: &'static str, since: u64, emit: fn(&T) -> Value) -> Field<T> {
+    field(name, Ty::Bool, since, emit)
+}
+
+const fn map<T>(name: &'static str, since: u64, emit: fn(&T) -> Value) -> Field<T> {
+    field(name, Ty::Map, since, emit)
+}
+
+/// One record kind: its `kind` tag and its fields in emission order.
+struct Kind<T: 'static> {
+    name: &'static str,
+    /// Every document carries exactly one record of this kind.
+    once: bool,
+    fields: &'static [Field<T>],
+}
+
+impl<T> Kind<T> {
+    fn values<'a>(&'a self, src: &'a T) -> impl Iterator<Item = (String, Value)> + 'a {
+        self.fields
+            .iter()
+            .map(move |fd| (fd.column.name.to_string(), (fd.emit)(src)))
+    }
+
+    fn record(&self, src: &T) -> Value {
+        tagged(self.name, self.values(src))
+    }
+
+    fn schema(&self) -> KindSchema {
+        KindSchema {
+            name: self.name,
+            once: self.once,
+            columns: self.fields.iter().map(|fd| fd.column).collect(),
+        }
+    }
+}
+
+fn tagged(kind: &str, values: impl Iterator<Item = (String, Value)>) -> Value {
+    Value::Map(
+        std::iter::once(("kind".to_string(), s(kind)))
+            .chain(values)
+            .collect(),
+    )
+}
+
+/// The `meta` field the validator reads before any other.
+const VERSION: Field<RunReport> = num("schema_version", 1, |_| u(SCHEMA_VERSION));
+
+const META: Kind<RunReport> = Kind {
+    name: "meta",
+    once: true,
+    fields: &[
+        VERSION,
+        text("experiment", 1, |r| s(&r.experiment)),
+        text("scheme", 1, |r| s(&r.scheme)),
+        num("requests", 1, |r| u(r.totals.requests)),
+        num("traced_requests", 1, |r| u(r.breakdown.requests)),
+        num("space_efficiency_pct", 1, |r| f(100.0 * r.space_efficiency)),
+    ],
+};
+
+const TOTALS: Kind<MetricsSnapshot> = Kind {
+    name: "totals",
+    once: true,
+    fields: &[
+        num("requests", 1, |t| u(t.requests)),
+        num("reads", 1, |t| u(t.reads)),
+        num("read_hits", 1, |t| u(t.read_hits)),
+        num("hit_ratio_pct", 1, |t| f(t.hit_ratio_pct())),
+        num("writes", 1, |t| u(t.writes)),
+        num("degraded_reads", 1, |t| u(t.degraded_reads)),
+        num("requested_mib", 1, |t| f(t.requested_bytes.as_mib_f64())),
+        num("device_mib", 1, |t| f(t.device_bytes.as_mib_f64())),
+        num("backend_mib", 1, |t| f(t.backend_bytes.as_mib_f64())),
+        num("amplification", 1, |t| f(t.amplification())),
+        num("write_amplification", 1, |t| f(t.write_amplification())),
+        num("read_amplification", 1, |t| f(t.read_amplification())),
+        num("bandwidth_mib_s", 1, |t| f(t.bandwidth_mib_s())),
+        num("mean_latency_ms", 1, |t| f(t.mean_latency_ms())),
+        num("p99_latency_ms", 1, |t| f(t.p99_latency.as_millis_f64())),
+        num("medium_errors", 1, |t| u(t.medium_errors)),
+        num("repairs", 1, |t| u(t.repairs)),
+        num("scrub_passes", 1, |t| u(t.scrub_passes)),
+        num("unrecoverable_fallbacks", 1, |t| {
+            u(t.unrecoverable_fallbacks)
+        }),
+        num("journal_appends", 2, |t| u(t.journal_appends)),
+        num("checkpoint_count", 2, |t| u(t.checkpoint_count)),
+        num("replayed_records", 2, |t| u(t.replayed_records)),
+        num("torn_tail_detected", 2, |t| u(t.torn_tail_detected)),
+        num("recovery_duration_us", 2, |t| u(t.recovery_duration_us)),
+        num("served_by_replica", 7, |t| u(t.served_by_replica)),
+        num("served_by_parity", 8, |t| u(t.served_by_parity)),
+    ],
+};
+
+const CLASS: Kind<ClassSnapshot> = Kind {
+    name: "class",
+    once: false,
+    fields: &[
+        text("class", 1, |c| s(c.label)),
+        num("requests", 1, |c| u(c.requests)),
+        num("reads", 1, |c| u(c.reads)),
+        num("read_hits", 1, |c| u(c.read_hits)),
+        num("hit_ratio_pct", 1, |c| f(c.hit_ratio_pct())),
+        num("writes", 1, |c| u(c.writes)),
+        num("degraded_reads", 1, |c| u(c.degraded_reads)),
+        num("requested_mib", 1, |c| f(c.requested_bytes.as_mib_f64())),
+        num("mean_latency_ms", 1, |c| f(c.mean_latency.as_millis_f64())),
+        num("p99_latency_ms", 1, |c| f(c.p99_latency.as_millis_f64())),
+    ],
+};
+
+/// A `layer` record's source: the layer's row and its exclusive time.
+const LAYER: Kind<(LayerBreakdown, SimDuration)> = Kind {
+    name: "layer",
+    once: false,
+    fields: &[
+        text("layer", 1, |(l, _)| s(l.layer.as_str())),
+        num("spans", 1, |(l, _)| u(l.spans)),
+        num("total_ms", 1, |(l, _)| f(l.total.as_millis_f64())),
+        num("exclusive_ms", 1, |(_, excl)| f(excl.as_millis_f64())),
+        num("mean_ms", 1, |(l, _)| f(l.mean.as_millis_f64())),
+        num("p99_ms", 1, |(l, _)| f(l.p99.as_millis_f64())),
+    ],
+};
+
+const DEVICE: Kind<DeviceReport> = Kind {
+    name: "device",
+    once: false,
+    fields: &[
+        num("device", 1, |d| u(d.id.0 as u64)),
+        flag("healthy", 1, |d| Value::Bool(d.healthy)),
+        num("wear_pct", 1, |d| f(100.0 * d.wear)),
+        num("used_mib", 1, |d| f(d.used.as_mib_f64())),
+        num("reads", 1, |d| u(d.stats.reads)),
+        num("writes", 1, |d| u(d.stats.writes)),
+        num("read_mib", 1, |d| mib(d.stats.bytes_read)),
+        num("written_mib", 1, |d| mib(d.stats.bytes_written)),
+        num("erases", 1, |d| u(d.stats.erases_estimated)),
+        num("mean_queue_delay_ms", 1, |d| {
+            f(d.stats.mean_queue_delay().as_millis_f64())
+        }),
+        num("mean_service_time_ms", 1, |d| {
+            f(d.stats.mean_service_time().as_millis_f64())
+        }),
+        num("transient_timeouts", 1, |d| u(d.stats.transient_timeouts)),
+    ],
+};
+
+const CACHE: Kind<reo_cache::CacheStats> = Kind {
+    name: "cache",
+    once: true,
+    fields: &[
+        num("admissions", 1, |c| u(c.admissions)),
+        num("refreshes", 1, |c| u(c.refreshes)),
+        num("removals", 1, |c| u(c.removals)),
+        num("promotions", 1, |c| u(c.promotions)),
+        num("demotions", 1, |c| u(c.demotions)),
+        num("replica_refreshes", 7, |c| u(c.replica_refreshes)),
+    ],
+};
+
+const RESILIENCE: Kind<reo_core::ResilienceSnapshot> = Kind {
+    name: "resilience",
+    once: true,
+    fields: &[
+        text("health", 3, |r| s(&r.health)),
+        num("health_transitions", 3, |r| u(r.health_transitions)),
+        num("shed_requests", 3, |r| u(r.shed_requests)),
+        num("write_throughs", 3, |r| u(r.write_throughs)),
+        num("bypassed_fills", 3, |r| u(r.bypassed_fills)),
+        num("rejected_events", 3, |r| u(r.rejected_events)),
+        num("throttle_stalls", 3, |r| u(r.throttle_stalls)),
+        num("rebuild_throttle_bytes", 3, |r| u(r.rebuild_throttle_bytes)),
+        num("ttr_metadata_us", 3, |r| i(r.ttr_us[0])),
+        num("ttr_dirty_us", 3, |r| i(r.ttr_us[1])),
+        num("ttr_hot_clean_us", 3, |r| i(r.ttr_us[2])),
+        num("ttr_cold_clean_us", 3, |r| i(r.ttr_us[3])),
+        num("internal_errors", 5, |r| u(r.internal_errors)),
+        map("rejected_events_by_reason", 5, |r| {
+            counts(&r.rejected_events_by_reason)
+        }),
+    ],
+};
+
+const PLACEMENT: Kind<TargetMetricsRow> = Kind {
+    name: "placement",
+    once: false,
+    fields: &[
+        num("target", 5, |t| u(t.target as u64)),
+        text("health", 5, |t| s(&t.health)),
+        num("requests", 5, |t| u(t.requests)),
+        num("reads", 5, |t| u(t.reads)),
+        num("read_hits", 5, |t| u(t.read_hits)),
+        num("hit_ratio_pct", 5, |t| f(t.hit_ratio_pct())),
+        num("degraded_reads", 5, |t| u(t.degraded_reads)),
+        num("shed_requests", 5, |t| u(t.shed_requests)),
+        num("outages", 5, |t| u(t.outages)),
+        num("rebuild_window_us", 5, |t| i(t.rebuild_window_us)),
+        num("migrated_in", 5, |t| u(t.migrated_in)),
+        num("migrated_out", 5, |t| u(t.migrated_out)),
+        num("replica_serves", 7, |t| u(t.replica_serves)),
+        num("parity_serves", 8, |t| u(t.parity_serves)),
+        map("sense_mix", 5, |t| counts(&t.sense_mix)),
+    ],
+};
+
+const PERF: Kind<PerfPoint> = Kind {
+    name: "perf",
+    once: false,
+    fields: &[
+        text("bench", 4, |p| s(&p.bench)),
+        num("value", 4, |p| f(p.value)),
+        text("unit", 4, |p| s(&p.unit)),
+    ],
+};
+
+/// A `series` record carries these fields, then every `totals` field of
+/// its window.
+const SERIES: Kind<TimeSeriesPoint> = Kind {
+    name: "series",
+    once: false,
+    fields: &[
+        num("at_request", 1, |p| u(p.at_request as u64)),
+        num("time_ms", 1, |p| f(p.time.as_secs_f64() * 1e3)),
+    ],
+};
+
+const SLO: Kind<SloSnapshot> = Kind {
+    name: "slo",
+    once: false,
+    fields: &[
+        text("class", 6, |r| s(r.class)),
+        num("requests", 6, |r| u(r.requests)),
+        num("latency_threshold_ms", 6, |r| {
+            f(r.latency_threshold.as_millis_f64())
+        }),
+        num("latency_target_pct", 6, |r| f(r.latency_target_pct)),
+        num("availability_target_pct", 6, |r| {
+            f(r.availability_target_pct)
+        }),
+        num("latency_compliance_pct", 6, |r| {
+            f(r.latency_compliance_pct())
+        }),
+        num("availability_pct", 6, |r| f(r.availability_pct())),
+        num("latency_burn_fast", 6, |r| f(r.latency_burn_fast())),
+        num("latency_burn_slow", 6, |r| f(r.latency_burn_slow())),
+        num("availability_burn_fast", 6, |r| {
+            f(r.availability_burn_fast())
+        }),
+        num("availability_burn_slow", 6, |r| {
+            f(r.availability_burn_slow())
+        }),
+        num("latency_breaches", 6, |r| u(r.latency_breaches)),
+        num("errors", 6, |r| u(r.errors)),
+    ],
+};
+
+/// One exemplar trace tree per record. The vendored JSON value tree has
+/// no array type, so spans nest as a map keyed by the (1-based,
 /// zero-padded) span id — key order is span order — and annotations by
 /// their index.
-fn trace_record(tree: &TraceTree) -> Value {
-    let spans = Value::Map(
+const TRACE: Kind<TraceTree> = Kind {
+    name: "trace",
+    once: false,
+    fields: &[
+        num("trace_id", 6, |t| u(t.trace_id)),
+        text("reason", 6, |t| s(t.reason)),
+        text("sense", 6, |t| s(t.sense.unwrap_or("success"))),
+        num("latency_ms", 6, |t| f(t.latency.as_millis_f64())),
+        num("span_count", 6, |t| u(t.spans.len() as u64)),
+        num("truncated_spans", 6, |t| u(t.truncated_spans)),
+        map("spans", 6, trace_spans),
+        map("annotations", 6, trace_annotations),
+    ],
+};
+
+/// One flight-recorder dump per record; events nest as a map keyed by
+/// their (zero-padded) sequence number, oldest first.
+const POSTMORTEM: Kind<Postmortem> = Kind {
+    name: "postmortem",
+    once: false,
+    fields: &[
+        num("at_ms", 6, |p| f(p.at.as_secs_f64() * 1e3)),
+        num("target", 6, |p| i(p.target)),
+        text("trigger", 6, |p| s(&p.trigger)),
+        num("dropped_events", 6, |p| u(p.dropped_events)),
+        num("event_count", 6, |p| u(p.events.len() as u64)),
+        map("events", 6, postmortem_events),
+    ],
+};
+
+const REPLICATION: Kind<ReplicationReport> = Kind {
+    name: "replication",
+    once: false,
+    fields: &[
+        num("max_factor", 7, |r| u(r.max_factor)),
+        num("factor_metadata", 7, |r| u(r.factors[0])),
+        num("factor_dirty", 7, |r| u(r.factors[1])),
+        num("factor_hot_clean", 7, |r| u(r.factors[2])),
+        num("factor_cold_clean", 7, |r| u(r.factors[3])),
+        num("replica_serves", 7, |r| u(r.counters.replica_serves)),
+        num("fanout_writes", 7, |r| u(r.counters.fanout_writes)),
+        num("fanout_refreshes", 7, |r| u(r.counters.fanout_refreshes)),
+        num("divergences_injected", 7, |r| {
+            u(r.counters.divergences_injected)
+        }),
+        num("divergences_detected", 7, |r| {
+            u(r.counters.divergences_detected)
+        }),
+        num("divergences_repaired", 7, |r| {
+            u(r.counters.divergences_repaired)
+        }),
+        num("anti_entropy_passes", 7, |r| {
+            u(r.counters.anti_entropy_passes)
+        }),
+        num("failbacks_completed", 7, |r| {
+            u(r.counters.failbacks_completed)
+        }),
+    ],
+};
+
+const PARITY_GROUP: Kind<ParityGroupReport> = Kind {
+    name: "parity_group",
+    once: false,
+    fields: &[
+        num("data_shards", 8, |p| u(p.data_shards)),
+        num("parity_shards", 8, |p| u(p.parity_shards)),
+        num("parity_serves", 8, |p| u(p.counters.parity_serves)),
+        num("stripe_updates", 8, |p| u(p.counters.stripe_updates)),
+        num("coverage_invalidations", 8, |p| {
+            u(p.counters.coverage_invalidations)
+        }),
+        num("reconstructed_mib", 8, |p| {
+            mib(p.counters.reconstructed_bytes)
+        }),
+        num("repair_warms", 8, |p| u(p.counters.repair_warms)),
+        num("repairs_completed", 8, |p| u(p.counters.repairs_completed)),
+        num("beyond_tolerance_serves", 8, |p| {
+            u(p.counters.beyond_tolerance_serves)
+        }),
+        num("ttr_metadata_us", 8, |p| i(p.counters.ttr_us[0])),
+        num("ttr_dirty_us", 8, |p| i(p.counters.ttr_us[1])),
+        num("ttr_hot_clean_us", 8, |p| i(p.counters.ttr_us[2])),
+        num("ttr_cold_clean_us", 8, |p| i(p.counters.ttr_us[3])),
+        num("primary_mib", 8, |p| mib(p.overhead.primary_bytes)),
+        num("replica_mib", 8, |p| mib(p.overhead.replica_bytes)),
+        num("parity_mib", 8, |p| mib(p.overhead.parity_bytes)),
+        num("overhead_pct", 8, |p| {
+            f(100.0 * p.overhead.overhead_fraction())
+        }),
+    ],
+};
+
+fn trace_spans(tree: &TraceTree) -> Value {
+    Value::Map(
         tree.spans
             .iter()
             .map(|span| {
@@ -429,8 +722,11 @@ fn trace_record(tree: &TraceTree) -> Value {
                 )
             })
             .collect(),
-    );
-    let annotations = Value::Map(
+    )
+}
+
+fn trace_annotations(tree: &TraceTree) -> Value {
+    Value::Map(
         tree.annotations
             .iter()
             .enumerate()
@@ -444,26 +740,11 @@ fn trace_record(tree: &TraceTree) -> Value {
                 )
             })
             .collect(),
-    );
-    rec(
-        "trace",
-        vec![
-            ("trace_id", u(tree.trace_id)),
-            ("reason", s(tree.reason)),
-            ("sense", s(tree.sense.unwrap_or("success"))),
-            ("latency_ms", f(tree.latency.as_millis_f64())),
-            ("span_count", u(tree.spans.len() as u64)),
-            ("truncated_spans", u(tree.truncated_spans)),
-            ("spans", spans),
-            ("annotations", annotations),
-        ],
     )
 }
 
-/// One flight-recorder dump as a `postmortem` record; events nest as a
-/// map keyed by their (zero-padded) sequence number, oldest first.
-fn postmortem_record(pm: &Postmortem) -> Value {
-    let events = Value::Map(
+fn postmortem_events(pm: &Postmortem) -> Value {
+    Value::Map(
         pm.events
             .iter()
             .map(|e| {
@@ -478,214 +759,85 @@ fn postmortem_record(pm: &Postmortem) -> Value {
                 )
             })
             .collect(),
-    );
-    rec(
-        "postmortem",
-        vec![
-            ("at_ms", f(pm.at.as_secs_f64() * 1e3)),
-            ("target", i(pm.target)),
-            ("trigger", s(&pm.trigger)),
-            ("dropped_events", u(pm.dropped_events)),
-            ("event_count", u(pm.events.len() as u64)),
-            ("events", events),
-        ],
     )
 }
 
+/// A record kind as the validator and the schema table see it.
+struct KindSchema {
+    name: &'static str,
+    once: bool,
+    columns: Vec<Column>,
+}
+
+/// Every record kind, in emission order.
+fn schema() -> Vec<KindSchema> {
+    let mut series = SERIES.schema();
+    series.columns.extend(TOTALS.schema().columns);
+    vec![
+        META.schema(),
+        TOTALS.schema(),
+        CLASS.schema(),
+        LAYER.schema(),
+        DEVICE.schema(),
+        CACHE.schema(),
+        RESILIENCE.schema(),
+        PLACEMENT.schema(),
+        PERF.schema(),
+        series,
+        SLO.schema(),
+        TRACE.schema(),
+        POSTMORTEM.schema(),
+        REPLICATION.schema(),
+        PARITY_GROUP.schema(),
+    ]
+}
+
+/// Renders the schema as a Markdown table (kind, field, JSON type, the
+/// version that introduced the field), the block DESIGN.md §7 carries.
+pub fn schema_markdown() -> String {
+    let mut out = String::from("| kind | field | type | since |\n|---|---|---|---|\n");
+    for kind in schema() {
+        for c in &kind.columns {
+            out.push_str(&format!(
+                "| `{}` | `{}` | {} | v{} |\n",
+                kind.name,
+                c.name,
+                c.ty.name(),
+                c.since
+            ));
+        }
+    }
+    out
+}
+
+// ---- JSON-lines rendering ----------------------------------------------
+
 fn records(report: &RunReport) -> Vec<Value> {
-    let mut out = Vec::new();
-    out.push(rec(
-        "meta",
-        vec![
-            ("schema_version", u(SCHEMA_VERSION)),
-            ("experiment", s(&report.experiment)),
-            ("scheme", s(&report.scheme)),
-            ("requests", u(report.totals.requests)),
-            ("traced_requests", u(report.breakdown.requests)),
-            ("space_efficiency_pct", f(100.0 * report.space_efficiency)),
-        ],
-    ));
-    out.push(rec("totals", totals_fields(&report.totals)));
-    for class in &report.totals.classes {
-        out.push(rec(
-            "class",
-            vec![
-                ("class", s(class.label)),
-                ("requests", u(class.requests)),
-                ("reads", u(class.reads)),
-                ("read_hits", u(class.read_hits)),
-                ("hit_ratio_pct", f(class.hit_ratio_pct())),
-                ("writes", u(class.writes)),
-                ("degraded_reads", u(class.degraded_reads)),
-                ("requested_mib", f(class.requested_bytes.as_mib_f64())),
-                ("mean_latency_ms", f(class.mean_latency.as_millis_f64())),
-                ("p99_latency_ms", f(class.p99_latency.as_millis_f64())),
-            ],
-        ));
-    }
-    for layer in &report.breakdown.layers {
-        out.push(rec(
-            "layer",
-            vec![
-                ("layer", s(layer.layer.as_str())),
-                ("spans", u(layer.spans)),
-                ("total_ms", f(layer.total.as_millis_f64())),
-                (
-                    "exclusive_ms",
-                    f(report.breakdown.exclusive(layer.layer).as_millis_f64()),
-                ),
-                ("mean_ms", f(layer.mean.as_millis_f64())),
-                ("p99_ms", f(layer.p99.as_millis_f64())),
-            ],
-        ));
-    }
-    for d in &report.devices {
-        out.push(rec(
-            "device",
-            vec![
-                ("device", u(d.id.0 as u64)),
-                ("healthy", Value::Bool(d.healthy)),
-                ("wear_pct", f(100.0 * d.wear)),
-                ("used_mib", f(d.used.as_mib_f64())),
-                ("reads", u(d.stats.reads)),
-                ("writes", u(d.stats.writes)),
-                ("read_mib", f(d.stats.bytes_read as f64 / (1024.0 * 1024.0))),
-                (
-                    "written_mib",
-                    f(d.stats.bytes_written as f64 / (1024.0 * 1024.0)),
-                ),
-                ("erases", u(d.stats.erases_estimated)),
-                (
-                    "mean_queue_delay_ms",
-                    f(d.stats.mean_queue_delay().as_millis_f64()),
-                ),
-                (
-                    "mean_service_time_ms",
-                    f(d.stats.mean_service_time().as_millis_f64()),
-                ),
-                ("transient_timeouts", u(d.stats.transient_timeouts)),
-            ],
-        ));
-    }
-    out.push(rec(
-        "cache",
-        vec![
-            ("admissions", u(report.cache.admissions)),
-            ("refreshes", u(report.cache.refreshes)),
-            ("removals", u(report.cache.removals)),
-            ("promotions", u(report.cache.promotions)),
-            ("demotions", u(report.cache.demotions)),
-            ("replica_refreshes", u(report.cache.replica_refreshes)),
-        ],
-    ));
-    let r = &report.resilience;
-    out.push(rec(
-        "resilience",
-        vec![
-            ("health", s(&r.health)),
-            ("health_transitions", u(r.health_transitions)),
-            ("shed_requests", u(r.shed_requests)),
-            ("write_throughs", u(r.write_throughs)),
-            ("bypassed_fills", u(r.bypassed_fills)),
-            ("rejected_events", u(r.rejected_events)),
-            ("throttle_stalls", u(r.throttle_stalls)),
-            ("rebuild_throttle_bytes", u(r.rebuild_throttle_bytes)),
-            ("ttr_metadata_us", i(r.ttr_us[0])),
-            ("ttr_dirty_us", i(r.ttr_us[1])),
-            ("ttr_hot_clean_us", i(r.ttr_us[2])),
-            ("ttr_cold_clean_us", i(r.ttr_us[3])),
-            ("internal_errors", u(r.internal_errors)),
-            (
-                "rejected_events_by_reason",
-                Value::Map(
-                    r.rejected_events_by_reason
-                        .iter()
-                        .map(|(reason, count)| (reason.clone(), u(*count)))
-                        .collect(),
-                ),
-            ),
-        ],
-    ));
-    for row in &report.totals.targets {
-        out.push(rec("placement", placement_fields(row)));
-    }
-    for p in &report.perf {
-        out.push(rec(
-            "perf",
-            vec![
-                ("bench", s(&p.bench)),
-                ("value", f(p.value)),
-                ("unit", s(&p.unit)),
-            ],
-        ));
-    }
-    for point in &report.series {
-        let mut fields = vec![
-            ("at_request", u(point.at_request as u64)),
-            ("time_ms", f(point.time.as_secs_f64() * 1e3)),
-        ];
-        fields.extend(totals_fields(&point.window));
-        out.push(rec("series", fields));
-    }
-    for row in &report.totals.slos {
-        out.push(rec("slo", slo_fields(row)));
-    }
-    for tree in &report.exemplars {
-        out.push(trace_record(tree));
-    }
-    for pm in &report.postmortems {
-        out.push(postmortem_record(pm));
-    }
-    if let Some(repl) = &report.replication {
-        let c = &repl.counters;
-        out.push(rec(
-            "replication",
-            vec![
-                ("max_factor", u(repl.max_factor)),
-                ("factor_metadata", u(repl.factors[0])),
-                ("factor_dirty", u(repl.factors[1])),
-                ("factor_hot_clean", u(repl.factors[2])),
-                ("factor_cold_clean", u(repl.factors[3])),
-                ("replica_serves", u(c.replica_serves)),
-                ("fanout_writes", u(c.fanout_writes)),
-                ("fanout_refreshes", u(c.fanout_refreshes)),
-                ("divergences_injected", u(c.divergences_injected)),
-                ("divergences_detected", u(c.divergences_detected)),
-                ("divergences_repaired", u(c.divergences_repaired)),
-                ("anti_entropy_passes", u(c.anti_entropy_passes)),
-                ("failbacks_completed", u(c.failbacks_completed)),
-            ],
-        ));
-    }
-    if let Some(pg) = &report.parity {
-        let c = &pg.counters;
-        let o = &pg.overhead;
-        out.push(rec(
-            "parity_group",
-            vec![
-                ("data_shards", u(pg.data_shards)),
-                ("parity_shards", u(pg.parity_shards)),
-                ("parity_serves", u(c.parity_serves)),
-                ("stripe_updates", u(c.stripe_updates)),
-                ("coverage_invalidations", u(c.coverage_invalidations)),
-                (
-                    "reconstructed_mib",
-                    f(c.reconstructed_bytes as f64 / (1024.0 * 1024.0)),
-                ),
-                ("repair_warms", u(c.repair_warms)),
-                ("repairs_completed", u(c.repairs_completed)),
-                ("beyond_tolerance_serves", u(c.beyond_tolerance_serves)),
-                ("ttr_metadata_us", i(c.ttr_us[0])),
-                ("ttr_dirty_us", i(c.ttr_us[1])),
-                ("ttr_hot_clean_us", i(c.ttr_us[2])),
-                ("ttr_cold_clean_us", i(c.ttr_us[3])),
-                ("primary_mib", f(o.primary_bytes as f64 / (1024.0 * 1024.0))),
-                ("replica_mib", f(o.replica_bytes as f64 / (1024.0 * 1024.0))),
-                ("parity_mib", f(o.parity_bytes as f64 / (1024.0 * 1024.0))),
-                ("overhead_pct", f(100.0 * o.overhead_fraction())),
-            ],
-        ));
-    }
+    let mut out = vec![META.record(report), TOTALS.record(&report.totals)];
+    out.extend(report.totals.classes.iter().map(|c| CLASS.record(c)));
+    out.extend(
+        report
+            .breakdown
+            .layers
+            .iter()
+            .map(|layer| LAYER.record(&(layer.clone(), report.breakdown.exclusive(layer.layer)))),
+    );
+    out.extend(report.devices.iter().map(|d| DEVICE.record(d)));
+    out.push(CACHE.record(&report.cache));
+    out.push(RESILIENCE.record(&report.resilience));
+    out.extend(report.totals.targets.iter().map(|t| PLACEMENT.record(t)));
+    out.extend(report.perf.iter().map(|p| PERF.record(p)));
+    out.extend(report.series.iter().map(|point| {
+        tagged(
+            SERIES.name,
+            SERIES.values(point).chain(TOTALS.values(&point.window)),
+        )
+    }));
+    out.extend(report.totals.slos.iter().map(|r| SLO.record(r)));
+    out.extend(report.exemplars.iter().map(|t| TRACE.record(t)));
+    out.extend(report.postmortems.iter().map(|p| POSTMORTEM.record(p)));
+    out.extend(report.replication.iter().map(|r| REPLICATION.record(r)));
+    out.extend(report.parity.iter().map(|p| PARITY_GROUP.record(p)));
     out
 }
 
@@ -734,354 +886,21 @@ fn get<'a>(map: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn require_number(map: &[(String, Value)], key: &str, line: usize) -> Result<(), String> {
-    match get(map, key) {
-        Some(Value::U(_) | Value::I(_) | Value::F(_)) => Ok(()),
-        Some(other) => Err(format!(
-            "line {line}: field `{key}` is not a number ({other:?})"
-        )),
-        None => Err(format!("line {line}: missing field `{key}`")),
-    }
-}
-
-fn require_string(map: &[(String, Value)], key: &str, line: usize) -> Result<(), String> {
-    match get(map, key) {
-        Some(Value::Str(_)) => Ok(()),
-        Some(_) => Err(format!("line {line}: field `{key}` is not a string")),
-        None => Err(format!("line {line}: missing field `{key}`")),
-    }
-}
-
-/// Numeric fields every record of a kind must carry (strings checked
-/// separately).
-fn required_numbers(kind: &str) -> &'static [&'static str] {
-    match kind {
-        "meta" => &["schema_version", "requests", "space_efficiency_pct"],
-        "totals" | "series" => &[
-            "requests",
-            "reads",
-            "read_hits",
-            "hit_ratio_pct",
-            "requested_mib",
-            "device_mib",
-            "amplification",
-            "write_amplification",
-            "mean_latency_ms",
-            "p99_latency_ms",
-            "journal_appends",
-            "checkpoint_count",
-            "replayed_records",
-            "torn_tail_detected",
-            "recovery_duration_us",
-        ],
-        "class" => &["requests", "reads", "hit_ratio_pct", "p99_latency_ms"],
-        "layer" => &["spans", "total_ms", "exclusive_ms", "mean_ms", "p99_ms"],
-        "device" => &["device", "wear_pct", "reads", "writes", "erases"],
-        "cache" => &[
-            "admissions",
-            "refreshes",
-            "removals",
-            "promotions",
-            "demotions",
-        ],
-        "resilience" => &[
-            "health_transitions",
-            "shed_requests",
-            "write_throughs",
-            "bypassed_fills",
-            "rejected_events",
-            "throttle_stalls",
-            "rebuild_throttle_bytes",
-            "ttr_metadata_us",
-            "ttr_dirty_us",
-            "ttr_hot_clean_us",
-            "ttr_cold_clean_us",
-        ],
-        "perf" => &["value"],
-        "placement" => &[
-            "target",
-            "requests",
-            "reads",
-            "read_hits",
-            "hit_ratio_pct",
-            "degraded_reads",
-            "shed_requests",
-            "outages",
-            "rebuild_window_us",
-            "migrated_in",
-            "migrated_out",
-        ],
-        "slo" => &[
-            "requests",
-            "latency_threshold_ms",
-            "latency_target_pct",
-            "availability_target_pct",
-            "latency_compliance_pct",
-            "availability_pct",
-            "latency_burn_fast",
-            "latency_burn_slow",
-            "availability_burn_fast",
-            "availability_burn_slow",
-            "latency_breaches",
-            "errors",
-        ],
-        "trace" => &["trace_id", "latency_ms", "span_count", "truncated_spans"],
-        "postmortem" => &["at_ms", "target", "dropped_events", "event_count"],
-        "replication" => &[
-            "max_factor",
-            "factor_metadata",
-            "factor_dirty",
-            "factor_hot_clean",
-            "factor_cold_clean",
-            "replica_serves",
-            "fanout_writes",
-            "fanout_refreshes",
-            "divergences_injected",
-            "divergences_detected",
-            "divergences_repaired",
-            "anti_entropy_passes",
-            "failbacks_completed",
-        ],
-        "parity_group" => &[
-            "data_shards",
-            "parity_shards",
-            "parity_serves",
-            "stripe_updates",
-            "coverage_invalidations",
-            "reconstructed_mib",
-            "repair_warms",
-            "repairs_completed",
-            "beyond_tolerance_serves",
-            "ttr_metadata_us",
-            "ttr_dirty_us",
-            "ttr_hot_clean_us",
-            "ttr_cold_clean_us",
-            "primary_mib",
-            "parity_mib",
-            "overhead_pct",
-        ],
-        _ => &[],
-    }
-}
-
-/// Every field a record of `kind` may carry. [`validate_jsonl`] flags
-/// anything else as schema drift with a line number. The lists are
-/// supersets of every schema version back to [`MIN_SCHEMA_VERSION`]
-/// (older versions only ever *lack* fields).
-fn allowed_fields(kind: &str) -> &'static [&'static str] {
-    match kind {
-        "meta" => &[
-            "kind",
-            "schema_version",
-            "experiment",
-            "scheme",
-            "requests",
-            "traced_requests",
-            "space_efficiency_pct",
-        ],
-        "totals" | "series" => &[
-            "kind",
-            "at_request",
-            "time_ms",
-            "requests",
-            "reads",
-            "read_hits",
-            "hit_ratio_pct",
-            "writes",
-            "degraded_reads",
-            "requested_mib",
-            "device_mib",
-            "backend_mib",
-            "amplification",
-            "write_amplification",
-            "read_amplification",
-            "bandwidth_mib_s",
-            "mean_latency_ms",
-            "p99_latency_ms",
-            "medium_errors",
-            "repairs",
-            "scrub_passes",
-            "unrecoverable_fallbacks",
-            "journal_appends",
-            "checkpoint_count",
-            "replayed_records",
-            "torn_tail_detected",
-            "recovery_duration_us",
-            "served_by_replica",
-            "served_by_parity",
-        ],
-        "class" => &[
-            "kind",
-            "class",
-            "requests",
-            "reads",
-            "read_hits",
-            "hit_ratio_pct",
-            "writes",
-            "degraded_reads",
-            "requested_mib",
-            "mean_latency_ms",
-            "p99_latency_ms",
-        ],
-        "layer" => &[
-            "kind",
-            "layer",
-            "spans",
-            "total_ms",
-            "exclusive_ms",
-            "mean_ms",
-            "p99_ms",
-        ],
-        "device" => &[
-            "kind",
-            "device",
-            "healthy",
-            "wear_pct",
-            "used_mib",
-            "reads",
-            "writes",
-            "read_mib",
-            "written_mib",
-            "erases",
-            "mean_queue_delay_ms",
-            "mean_service_time_ms",
-            "transient_timeouts",
-        ],
-        "cache" => &[
-            "kind",
-            "admissions",
-            "refreshes",
-            "removals",
-            "promotions",
-            "demotions",
-            "replica_refreshes",
-        ],
-        "resilience" => &[
-            "kind",
-            "health",
-            "health_transitions",
-            "shed_requests",
-            "write_throughs",
-            "bypassed_fills",
-            "rejected_events",
-            "throttle_stalls",
-            "rebuild_throttle_bytes",
-            "ttr_metadata_us",
-            "ttr_dirty_us",
-            "ttr_hot_clean_us",
-            "ttr_cold_clean_us",
-            "internal_errors",
-            "rejected_events_by_reason",
-        ],
-        "perf" => &["kind", "bench", "value", "unit"],
-        "placement" => &[
-            "kind",
-            "target",
-            "health",
-            "requests",
-            "reads",
-            "read_hits",
-            "hit_ratio_pct",
-            "degraded_reads",
-            "shed_requests",
-            "outages",
-            "rebuild_window_us",
-            "migrated_in",
-            "migrated_out",
-            "replica_serves",
-            "parity_serves",
-            "sense_mix",
-        ],
-        "slo" => &[
-            "kind",
-            "class",
-            "requests",
-            "latency_threshold_ms",
-            "latency_target_pct",
-            "availability_target_pct",
-            "latency_compliance_pct",
-            "availability_pct",
-            "latency_burn_fast",
-            "latency_burn_slow",
-            "availability_burn_fast",
-            "availability_burn_slow",
-            "latency_breaches",
-            "errors",
-        ],
-        "trace" => &[
-            "kind",
-            "trace_id",
-            "reason",
-            "sense",
-            "latency_ms",
-            "span_count",
-            "truncated_spans",
-            "spans",
-            "annotations",
-        ],
-        "postmortem" => &[
-            "kind",
-            "at_ms",
-            "target",
-            "trigger",
-            "dropped_events",
-            "event_count",
-            "events",
-        ],
-        "replication" => &[
-            "kind",
-            "max_factor",
-            "factor_metadata",
-            "factor_dirty",
-            "factor_hot_clean",
-            "factor_cold_clean",
-            "replica_serves",
-            "fanout_writes",
-            "fanout_refreshes",
-            "divergences_injected",
-            "divergences_detected",
-            "divergences_repaired",
-            "anti_entropy_passes",
-            "failbacks_completed",
-        ],
-        "parity_group" => &[
-            "kind",
-            "data_shards",
-            "parity_shards",
-            "parity_serves",
-            "stripe_updates",
-            "coverage_invalidations",
-            "reconstructed_mib",
-            "repair_warms",
-            "repairs_completed",
-            "beyond_tolerance_serves",
-            "ttr_metadata_us",
-            "ttr_dirty_us",
-            "ttr_hot_clean_us",
-            "ttr_cold_clean_us",
-            "primary_mib",
-            "replica_mib",
-            "parity_mib",
-            "overhead_pct",
-        ],
-        _ => &[],
-    }
-}
-
-/// Validates a JSON-lines document against the exporter schema:
-/// every line parses as an object with a known `kind`, the first record
-/// is `meta` with a supported schema version
-/// ([`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`]), `totals`, `cache`,
-/// and `resilience` appear exactly once, each record carries its kind's
-/// required fields, and no record carries a field outside its kind's
-/// allowed set (unknown fields are reported with the offending
-/// line number — they mean the document came from a *newer* exporter
-/// than this validator).
+/// Validates a JSON-lines document against the declared schema: every
+/// line parses as an object with a known `kind`, the first record is
+/// `meta` with a supported schema version
+/// ([`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`]), each singleton kind
+/// (`totals`, `cache`, `resilience`) appears exactly once, every field
+/// present has its declared type, every field introduced at or before
+/// the document's version is present, and no record carries an
+/// undeclared field (unknown fields mean the document came from a
+/// *newer* exporter than this validator).
 ///
 /// # Errors
 ///
 /// Returns a message naming the first offending line.
 pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
+    let kinds = schema();
     let mut summary = JsonlSummary::default();
     for (i, raw_line) in text.lines().enumerate() {
         let line = i + 1;
@@ -1096,16 +915,18 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
             Some(Value::Str(kind)) => kind.clone(),
             _ => return Err(format!("line {line}: missing string field `kind`")),
         };
-        if !RECORD_KINDS.contains(&kind.as_str()) {
+        let Some(decl) = kinds.iter().find(|k| k.name == kind) else {
             return Err(format!("line {line}: unknown record kind `{kind}`"));
-        }
+        };
         if summary.records == 0 {
-            if kind != "meta" {
+            if kind != META.name {
                 return Err(format!(
-                    "line {line}: first record must be `meta`, got `{kind}`"
+                    "line {line}: first record must be `{}`, got `{kind}`",
+                    META.name
                 ));
             }
-            match get(map, "schema_version") {
+            let key = VERSION.column.name;
+            match get(map, key) {
                 Some(Value::U(v))
                     if (MIN_SCHEMA_VERSION as u128..=SCHEMA_VERSION as u128).contains(v) =>
                 {
@@ -1113,42 +934,32 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
                 }
                 Some(Value::U(v)) => {
                     return Err(format!(
-                        "line {line}: schema_version {v} (this validator knows \
+                        "line {line}: {key} {v} (this validator knows \
                          {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
                     ));
                 }
-                _ => return Err(format!("line {line}: missing numeric `schema_version`")),
+                _ => return Err(format!("line {line}: missing numeric `{key}`")),
             }
-        } else if kind == "meta" {
-            return Err(format!("line {line}: duplicate `meta` record"));
+        } else if kind == META.name {
+            return Err(format!("line {line}: duplicate `{kind}` record"));
         }
-        match kind.as_str() {
-            "meta" => {
-                require_string(map, "experiment", line)?;
-                require_string(map, "scheme", line)?;
+        for c in &decl.columns {
+            match get(map, c.name) {
+                Some(v) if !c.ty.admits(v) => {
+                    return Err(format!(
+                        "line {line}: field `{}` is not a {}",
+                        c.name,
+                        c.ty.name()
+                    ));
+                }
+                None if c.since <= summary.schema_version => {
+                    return Err(format!("line {line}: missing field `{}`", c.name));
+                }
+                _ => {}
             }
-            "class" => require_string(map, "class", line)?,
-            "layer" => require_string(map, "layer", line)?,
-            "resilience" => require_string(map, "health", line)?,
-            "placement" => require_string(map, "health", line)?,
-            "perf" => {
-                require_string(map, "bench", line)?;
-                require_string(map, "unit", line)?;
-            }
-            "slo" => require_string(map, "class", line)?,
-            "trace" => {
-                require_string(map, "reason", line)?;
-                require_string(map, "sense", line)?;
-            }
-            "postmortem" => require_string(map, "trigger", line)?,
-            _ => {}
         }
-        for field in required_numbers(&kind) {
-            require_number(map, field, line)?;
-        }
-        let allowed = allowed_fields(&kind);
         for (key, _) in map {
-            if !allowed.contains(&key.as_str()) {
+            if key != "kind" && !decl.columns.iter().any(|c| c.name == key) {
                 return Err(format!(
                     "line {line}: unknown field `{key}` on `{kind}` record"
                 ));
@@ -1160,12 +971,13 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
     if summary.records == 0 {
         return Err("empty document".to_string());
     }
-    for singleton in ["totals", "cache", "resilience"] {
-        match summary.kinds.get(singleton).copied().unwrap_or(0) {
+    for decl in kinds.iter().filter(|k| k.once) {
+        match summary.kinds.get(decl.name).copied().unwrap_or(0) {
             1 => {}
             n => {
                 return Err(format!(
-                    "expected exactly one `{singleton}` record, found {n}"
+                    "expected exactly one `{}` record, found {n}",
+                    decl.name
                 ))
             }
         }
@@ -1518,6 +1330,24 @@ mod tests {
         collect_run_report("unit_test", "Reo-20%", &system, &result)
     }
 
+    /// A traced single-target run whose fault dumps the flight recorder.
+    fn faulted_traced_report() -> RunReport {
+        let trace = WorkloadSpec::medium()
+            .with_objects(60)
+            .with_requests(600)
+            .generate(9);
+        let mut system = crate::build_system(
+            SchemeConfig::Reo { reserve: 0.20 },
+            &trace,
+            0.2,
+            ByteSize::from_kib(32),
+        );
+        system.enable_tracing();
+        let plan = ExperimentPlan::second_failure_during_rebuild(100, 200, 300).with_sampling(200);
+        let result = ExperimentRunner::run(&mut system, &trace, &plan);
+        collect_run_report("faulted_unit", "Reo-20%", &system, &result)
+    }
+
     #[test]
     fn report_covers_every_dimension() {
         let report = traced_report();
@@ -1585,6 +1415,108 @@ mod tests {
         assert!(validate_jsonl(&dup)
             .unwrap_err()
             .contains("exactly one `totals`"));
+
+        // Every declared field of every declared kind: dropping it names
+        // the field and its line, and a value of the wrong type is
+        // rejected. The inputs must carry every kind, so a kind added
+        // later without a test input fails here.
+        let mut faulted = faulted_traced_report();
+        faulted.perf = vec![PerfPoint {
+            bench: "erasure_encode".to_string(),
+            value: 3.25,
+            unit: "GiB/s".to_string(),
+        }];
+        let docs = [jsonl(&faulted), parity_jsonl(), replication_jsonl()];
+        for kind in schema() {
+            let tag = format!("{{\"kind\":\"{}\"", kind.name);
+            let (lines, n) = docs
+                .iter()
+                .find_map(|doc| {
+                    let lines: Vec<&str> = doc.lines().collect();
+                    let n = lines.iter().position(|l| l.starts_with(&tag))?;
+                    Some((lines, n))
+                })
+                .unwrap_or_else(|| panic!("no test input carries a `{}` record", kind.name));
+            let Raw(Value::Map(record)) = serde_json::from_str(lines[n]).expect("json") else {
+                panic!("line {} is not an object", n + 1);
+            };
+            let with = |fields: Vec<(String, Value)>| {
+                let mut doc = lines.clone();
+                let line = serde_json::to_string(&Raw(Value::Map(fields))).expect("json");
+                doc[n] = &line;
+                validate_jsonl(&(doc.join("\n") + "\n"))
+            };
+            for c in &kind.columns {
+                let mut without = record.clone();
+                without.retain(|(k, _)| k != c.name);
+                assert!(
+                    without.len() < record.len(),
+                    "`{}` lacks `{}`",
+                    kind.name,
+                    c.name
+                );
+                let err = with(without).unwrap_err();
+                assert!(
+                    err.contains(&format!("line {}:", n + 1)) && err.contains(c.name),
+                    "dropping `{}` from `{}`: {err}",
+                    c.name,
+                    kind.name
+                );
+                let mut retyped = record.clone();
+                let slot = retyped
+                    .iter_mut()
+                    .find(|(k, _)| k == c.name)
+                    .expect("present");
+                slot.1 = if c.ty == Ty::Str { u(0) } else { s("0") };
+                let err = with(retyped).unwrap_err();
+                assert!(err.contains(c.name), "retyping `{}`: {err}", c.name);
+            }
+        }
+    }
+
+    #[test]
+    fn committed_documents_validate_at_their_declared_version() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut paths: Vec<_> = std::fs::read_dir(root.join("results"))
+            .expect("results directory")
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
+            .collect();
+        paths.push(root.join("BENCH_perf.json"));
+        let mut versions = std::collections::BTreeSet::new();
+        for path in &paths {
+            let text = std::fs::read_to_string(path).expect("readable document");
+            let meta = text.lines().next().expect("meta line");
+            let Raw(Value::Map(meta)) = serde_json::from_str(meta).expect("json") else {
+                panic!("{}: meta is not an object", path.display());
+            };
+            let Some(&Value::U(declared)) = get(&meta, VERSION.column.name) else {
+                panic!("{}: no numeric schema version", path.display());
+            };
+            let summary = validate_jsonl(&text)
+                .unwrap_or_else(|e| panic!("{} (v{declared}): {e}", path.display()));
+            assert_eq!(summary.schema_version as u128, declared);
+            versions.insert(summary.schema_version);
+        }
+        // These are the repository's only real pre-current documents; a
+        // regenerated file would silently drop an old version from the test.
+        assert_eq!(versions, [4, 6, 8, 9].into(), "versions of {paths:?}");
+    }
+
+    #[test]
+    fn design_md_carries_the_generated_schema_table() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+        let design = std::fs::read_to_string(path).expect("DESIGN.md");
+        let begin = "<!-- schema table: generated by reo_bench::export::schema_markdown -->\n";
+        let start = design.find(begin).expect("begin marker") + begin.len();
+        let len = design[start..]
+            .find("<!-- end schema table -->")
+            .expect("end marker");
+        let expected = schema_markdown();
+        assert!(
+            design[start..start + len] == expected,
+            "DESIGN.md §7's schema table is stale; the block between its markers must read:\n{expected}"
+        );
     }
 
     #[test]
@@ -1608,19 +1540,7 @@ mod tests {
 
     #[test]
     fn resilience_record_reports_faults_when_they_happen() {
-        let trace = WorkloadSpec::medium()
-            .with_objects(60)
-            .with_requests(600)
-            .generate(9);
-        let mut system = crate::build_system(
-            SchemeConfig::Reo { reserve: 0.20 },
-            &trace,
-            0.2,
-            ByteSize::from_kib(32),
-        );
-        let plan = ExperimentPlan::second_failure_during_rebuild(100, 200, 300);
-        let result = ExperimentRunner::run(&mut system, &trace, &plan);
-        let report = collect_run_report("cascade_unit", "Reo-20%", &system, &result);
+        let report = faulted_traced_report();
         assert!(report.resilience.health_transitions > 0);
         let text = jsonl(&report);
         validate_jsonl(&text).expect("faulted run still validates");
@@ -1687,7 +1607,18 @@ mod tests {
     }
 
     fn parity_jsonl() -> String {
-        use reo_core::{ClusterSystem, ParityGroupPolicy, PlannedEvent};
+        protected_cluster_jsonl(|c| c.with_parity_policy(reo_core::ParityGroupPolicy::reo(3, 1)))
+    }
+
+    fn replication_jsonl() -> String {
+        protected_cluster_jsonl(|c| {
+            c.with_replication_policy(reo_core::ReplicationPolicy::two_way())
+        })
+    }
+
+    /// A 4-target cluster export with one target outage and restore.
+    fn protected_cluster_jsonl(protect: fn(ClusterSystem) -> ClusterSystem) -> String {
+        use reo_core::PlannedEvent;
         let trace = WorkloadSpec::medium()
             .with_objects(80)
             .with_requests(600)
@@ -1696,8 +1627,7 @@ mod tests {
             SchemeConfig::Reo { reserve: 0.20 },
             trace.summary().data_set_bytes.scale(0.25),
         );
-        let mut cluster =
-            ClusterSystem::new(config, 4).with_parity_policy(ParityGroupPolicy::reo(3, 1));
+        let mut cluster = protect(ClusterSystem::new(config, 4));
         let plan = ExperimentPlan {
             warmup_passes: 1,
             ..Default::default()
@@ -1705,7 +1635,7 @@ mod tests {
         .with_event(150, PlannedEvent::FailTarget(1))
         .with_event(450, PlannedEvent::RestoreTarget(1));
         let result = cluster.run(&trace, &plan);
-        let report = collect_cluster_report("parity_unit", "Reo-20%", &cluster, &result);
+        let report = collect_cluster_report("protected_unit", "Reo-20%", &cluster, &result);
         jsonl(&report)
     }
 
@@ -1794,19 +1724,7 @@ mod tests {
 
     #[test]
     fn postmortem_records_round_trip_through_the_validator() {
-        let trace = WorkloadSpec::medium()
-            .with_objects(60)
-            .with_requests(600)
-            .generate(9);
-        let mut system = crate::build_system(
-            SchemeConfig::Reo { reserve: 0.20 },
-            &trace,
-            0.2,
-            ByteSize::from_kib(32),
-        );
-        let plan = ExperimentPlan::second_failure_during_rebuild(100, 200, 300);
-        let result = ExperimentRunner::run(&mut system, &trace, &plan);
-        let report = collect_run_report("cascade_unit", "Reo-20%", &system, &result);
+        let report = faulted_traced_report();
         assert!(
             !report.postmortems.is_empty(),
             "leaving Healthy dumps the flight recorder"

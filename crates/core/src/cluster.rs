@@ -392,12 +392,6 @@ enum MigrationKind {
     Repair,
 }
 
-/// A stable lowercase label for a sense code, used in per-target
-/// sense-mix rows and JSONL export.
-pub(crate) fn sense_label(sense: SenseCode) -> &'static str {
-    sense.label()
-}
-
 /// Cluster-level lifecycle state of one target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TargetState {
@@ -430,12 +424,6 @@ struct TargetStats {
     read_hits: u64,
     degraded_reads: u64,
     shed: u64,
-    /// The subset of the above served by the cluster's backend-first
-    /// outage path (recorded into the node's metrics as external
-    /// samples so availability burn rates stay honest).
-    outage_requests: u64,
-    outage_reads: u64,
-    outage_degraded_reads: u64,
     /// The subset of `requests` served at full speed from a replica
     /// holder's cache while this (owning) target was down.
     replica_serves: u64,
@@ -1395,14 +1383,6 @@ impl ClusterSystem {
         };
         let completed_at = self.origin_clock.now();
         let latency = completed_at.saturating_since(start);
-        let stats = &mut self.nodes[t].stats;
-        stats.outage_requests += 1;
-        if request.op == Operation::Read {
-            stats.outage_reads += 1;
-            if degraded {
-                stats.outage_degraded_reads += 1;
-            }
-        }
         // Record the serve into the owner's metrics as an external
         // sample (class unknown — the node never saw the request), so
         // cluster aggregates stay exact sums over node metrics and the
@@ -1723,10 +1703,7 @@ impl ClusterSystem {
         if outcome.sense == SenseCode::NotReady {
             stats.shed += 1;
         }
-        *stats
-            .sense_mix
-            .entry(sense_label(outcome.sense))
-            .or_insert(0) += 1;
+        *stats.sense_mix.entry(outcome.sense.label()).or_insert(0) += 1;
         if outcome.degraded || outcome.sense.is_error() || outcome.sense == SenseCode::NotReady {
             self.degraded_keys.insert(request.key);
         }
