@@ -16,7 +16,7 @@
 //!   The first line is always the `meta` record carrying
 //!   [`SCHEMA_VERSION`]; the validator accepts [`MIN_SCHEMA_VERSION`]
 //!   through current (the CI smoke jobs run it on real experiment
-//!   outputs and the committed perf baseline).
+//!   outputs).
 //! * [`render_summary`] — the aligned human tables the binaries print.
 //!
 //! Latencies are exported in milliseconds, byte volumes in MiB; raw
@@ -63,8 +63,6 @@ pub struct RunReport {
     pub series: Vec<TimeSeriesPoint>,
     /// Space efficiency at the end of the run.
     pub space_efficiency: f64,
-    /// Microbenchmark measurements (empty except for `perfbench` runs).
-    pub perf: Vec<PerfPoint>,
     /// Retained exemplar trace trees — every sense-coded request plus
     /// the slowest-percentile requests (empty when tracing was off).
     pub exemplars: Vec<reo_sim::TraceTree>,
@@ -106,17 +104,6 @@ pub struct ParityGroupReport {
     pub overhead: reo_core::FlashOverheadReport,
 }
 
-/// One microbenchmark measurement, exported as a `perf` record.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PerfPoint {
-    /// Benchmark name, e.g. `"erasure_encode"`.
-    pub bench: String,
-    /// The measured value.
-    pub value: f64,
-    /// Unit of `value`, e.g. `"GiB/s"` or `"req/s"`.
-    pub unit: String,
-}
-
 /// Gathers a [`RunReport`] from a finished system and its experiment
 /// result.
 pub fn collect_run_report(
@@ -135,7 +122,6 @@ pub fn collect_run_report(
         resilience: system.resilience(),
         series: result.series.clone(),
         space_efficiency: result.space_efficiency,
-        perf: Vec::new(),
         exemplars: system.tracer().exemplars(),
         postmortems: system.flight().postmortems(),
         replication: None,
@@ -218,7 +204,6 @@ pub fn collect_cluster_report(
         resilience,
         series: Vec::new(),
         space_efficiency: efficiency / cluster.targets_created().max(1) as f64,
-        perf: Vec::new(),
         exemplars: cluster.tracer().exemplars(),
         postmortems: cluster.flight().postmortems(),
         replication: {
@@ -558,16 +543,6 @@ const PLACEMENT: Kind<TargetMetricsRow> = Kind {
     ],
 };
 
-const PERF: Kind<PerfPoint> = Kind {
-    name: "perf",
-    once: false,
-    fields: &[
-        text("bench", 4, |p| s(&p.bench)),
-        num("value", 4, |p| f(p.value)),
-        text("unit", 4, |p| s(&p.unit)),
-    ],
-};
-
 /// A `series` record carries these fields, then every `totals` field of
 /// its window.
 const SERIES: Kind<TimeSeriesPoint> = Kind {
@@ -782,7 +757,6 @@ fn schema() -> Vec<KindSchema> {
         CACHE.schema(),
         RESILIENCE.schema(),
         PLACEMENT.schema(),
-        PERF.schema(),
         series,
         SLO.schema(),
         TRACE.schema(),
@@ -826,7 +800,6 @@ fn records(report: &RunReport) -> Vec<Value> {
     out.push(CACHE.record(&report.cache));
     out.push(RESILIENCE.record(&report.resilience));
     out.extend(report.totals.targets.iter().map(|t| PLACEMENT.record(t)));
-    out.extend(report.perf.iter().map(|p| PERF.record(p)));
     out.extend(report.series.iter().map(|point| {
         tagged(
             SERIES.name,
@@ -1402,9 +1375,13 @@ mod tests {
             .unwrap_err()
             .contains("schema_version"));
 
-        // Unknown kinds, `shard` among them.
-        for kind in ["mystery", "shard"] {
-            let unknown = format!("{good}{{\"kind\":\"{kind}\"}}\n");
+        // Unknown kinds, the retired `shard` and `perf` among them.
+        for record in [
+            r#"{"kind":"mystery"}"#,
+            r#"{"kind":"shard"}"#,
+            r#"{"kind":"perf","bench":"erasure_encode","value":3.25,"unit":"GiB/s"}"#,
+        ] {
+            let unknown = format!("{good}{record}\n");
             assert!(validate_jsonl(&unknown)
                 .unwrap_err()
                 .contains("unknown record kind"));
@@ -1420,13 +1397,11 @@ mod tests {
         // the field and its line, and a value of the wrong type is
         // rejected. The inputs must carry every kind, so a kind added
         // later without a test input fails here.
-        let mut faulted = faulted_traced_report();
-        faulted.perf = vec![PerfPoint {
-            bench: "erasure_encode".to_string(),
-            value: 3.25,
-            unit: "GiB/s".to_string(),
-        }];
-        let docs = [jsonl(&faulted), parity_jsonl(), replication_jsonl()];
+        let docs = [
+            jsonl(&faulted_traced_report()),
+            parity_jsonl(),
+            replication_jsonl(),
+        ];
         for kind in schema() {
             let tag = format!("{{\"kind\":\"{}\"", kind.name);
             let (lines, n) = docs
@@ -1477,12 +1452,11 @@ mod tests {
     #[test]
     fn committed_documents_validate_at_their_declared_version() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut paths: Vec<_> = std::fs::read_dir(root.join("results"))
+        let paths: Vec<_> = std::fs::read_dir(root.join("results"))
             .expect("results directory")
             .map(|entry| entry.expect("directory entry").path())
             .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
             .collect();
-        paths.push(root.join("BENCH_perf.json"));
         let mut versions = std::collections::BTreeSet::new();
         for path in &paths {
             let text = std::fs::read_to_string(path).expect("readable document");
@@ -1545,31 +1519,6 @@ mod tests {
         let text = jsonl(&report);
         validate_jsonl(&text).expect("faulted run still validates");
         assert!(text.contains("\"kind\":\"resilience\""));
-    }
-
-    #[test]
-    fn perf_records_round_trip_through_the_validator() {
-        let mut report = traced_report();
-        report.perf = vec![
-            PerfPoint {
-                bench: "erasure_encode".to_string(),
-                value: 3.25,
-                unit: "GiB/s".to_string(),
-            },
-            PerfPoint {
-                bench: "requests".to_string(),
-                value: 120_000.0,
-                unit: "req/s".to_string(),
-            },
-        ];
-        let text = jsonl(&report);
-        let summary = validate_jsonl(&text).expect("perf records must validate");
-        assert_eq!(summary.kinds["perf"], 2);
-        assert!(text.contains("\"bench\":\"erasure_encode\""));
-
-        // A perf record without its unit is schema drift, not a new point.
-        let broken = text.replace("\"unit\":\"GiB/s\"", "\"units\":\"GiB/s\"");
-        assert!(validate_jsonl(&broken).unwrap_err().contains("unit"));
     }
 
     fn scaleout_jsonl() -> String {

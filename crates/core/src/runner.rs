@@ -363,17 +363,10 @@ impl ExperimentRunner {
     }
 }
 
-/// Number of worker threads experiment sweeps should use.
-///
-/// Defaults to the machine's available parallelism; the
-/// `REO_SWEEP_THREADS` environment variable overrides it (set it to `1`
-/// to force the serial path, e.g. when bisecting a determinism issue).
+/// Number of worker threads experiment sweeps should use: the machine's
+/// available parallelism. The thread count never changes a sweep's
+/// output (see [`parallel_map_ordered`]).
 pub fn sweep_threads() -> usize {
-    if let Ok(v) = std::env::var("REO_SWEEP_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::gf256;
@@ -126,11 +125,6 @@ struct DecodePlan {
 #[derive(Default)]
 struct DecodeCache {
     plans: Mutex<HashMap<u64, Arc<DecodePlan>>>,
-    /// Lookups answered from a cached plan.
-    hits: AtomicU64,
-    /// Lookups that had to build a plan (including uncacheable wide
-    /// codes, which rebuild on every call).
-    misses: AtomicU64,
 }
 
 impl Clone for DecodeCache {
@@ -144,8 +138,6 @@ impl fmt::Debug for DecodeCache {
         let patterns = self.plans.lock().map(|m| m.len()).unwrap_or(0);
         f.debug_struct("DecodeCache")
             .field("patterns", &patterns)
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .field("misses", &self.misses.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -471,11 +463,9 @@ impl ReedSolomon {
                 .expect("decode cache lock")
                 .get(&k)
             {
-                self.decode_cache.hits.fetch_add(1, Ordering::Relaxed);
                 return Arc::clone(plan);
             }
         }
-        self.decode_cache.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(self.build_decode_plan(present));
         if let Some(k) = key {
             self.decode_cache
@@ -518,16 +508,6 @@ impl ReedSolomon {
     /// diagnostics hook; the cache is otherwise invisible).
     pub fn cached_decode_patterns(&self) -> usize {
         self.decode_cache.plans.lock().map(|m| m.len()).unwrap_or(0)
-    }
-
-    /// Decode-plan cache lookup counters as `(hits, misses)`. A miss is
-    /// any lookup that built a plan, so `hits / (hits + misses)` is the
-    /// warm-path fraction perf baselines report.
-    pub fn decode_cache_stats(&self) -> (u64, u64) {
-        (
-            self.decode_cache.hits.load(Ordering::Relaxed),
-            self.decode_cache.misses.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -733,13 +713,10 @@ mod tests {
         assert_eq!(rs.cached_decode_patterns(), 2);
         lose(&[0, 2]); // a new pattern pays one more inversion
         assert_eq!(rs.cached_decode_patterns(), 3);
-        // Five reconstructs: three built plans, two replayed cached ones.
-        assert_eq!(rs.decode_cache_stats(), (2, 3));
 
         // A clone starts cold (plans are derived state, not identity).
         let other = rs.clone();
         assert_eq!(other.cached_decode_patterns(), 0);
-        assert_eq!(other.decode_cache_stats(), (0, 0));
         lose(&[0, 2]);
         assert_eq!(rs.cached_decode_patterns(), 3);
     }
