@@ -18,7 +18,9 @@
 //! * [`FaultPlan`] — seeded partial-failure injection: latent per-chunk
 //!   corruption, transient read timeouts, and stuck-device slowdowns, all
 //!   deterministic under one seed.
-//! * [`ChunkHandle`] / [`StoredChunk`] — chunk addressing and contents.
+//! * [`ChunkHandle`] / [`StoredChunk`] — chunk addressing and contents;
+//!   [`ChunkRun`] — a device's share of a striped object as one
+//!   arithmetic run of handles, which is how devices store chunks.
 //!   Chunks can carry real payloads (used by the tests and examples to
 //!   verify reconstruction byte-for-byte) or be payload-free, in which case
 //!   only sizes/placement are tracked and service time is still charged —
@@ -49,7 +51,7 @@ mod device;
 mod fault;
 
 pub use array::{ArrayStats, DeviceReport, FlashArray};
-pub use chunk::{ChunkHandle, ChunkPayload, StoredChunk};
+pub use chunk::{ChunkHandle, ChunkPayload, ChunkRun, StoredChunk};
 pub use device::{
     DeviceConfig, DeviceId, DeviceState, DeviceStats, FlashDevice, FlashError, WriteAmplification,
 };

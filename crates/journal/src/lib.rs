@@ -50,10 +50,13 @@ const SUPERBLOCK_LEN: usize = 8 + 1 + 8 + 4 + 8 + 4;
 /// lengths out of a torn header.
 const MAX_PAYLOAD: usize = 1 << 24;
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table, and `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight input bytes fold in one step.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -66,18 +69,42 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1usize;
+    while t < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
 /// IEEE CRC-32 over `bytes` (the checksum used by record headers,
-/// superblocks, and checkpoint images).
+/// superblocks, and checkpoint images), eight bytes per table step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -952,5 +979,26 @@ mod tests {
     fn crc32_matches_known_vector() {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The byte-at-a-time reference loop the sliced version must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_matches_the_bytewise_loop(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            offset in 0usize..16,
+        ) {
+            let slice = &bytes[offset.min(bytes.len())..];
+            proptest::prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
     }
 }

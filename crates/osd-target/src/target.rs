@@ -533,8 +533,7 @@ impl OsdTarget {
             .index
             .get(&key)
             .ok_or(TargetError::UnknownObject(key))?
-            .layout
-            .clone();
+            .layout;
         let outcome = self.stripes.read_object(&layout).map_err(|e| match e {
             StripeError::ObjectLost { .. } => TargetError::ObjectLost(key),
             other => TargetError::Stripe(other),
@@ -684,7 +683,7 @@ impl OsdTarget {
             .get(&key)
             .ok_or(TargetError::UnknownObject(key))?;
         let old_class = record.class;
-        let layout = record.layout.clone();
+        let layout = record.layout;
 
         if !self.policy.requires_reencode(old_class, class) {
             let record = self.index.get_mut(&key).expect("checked above");
@@ -817,7 +816,7 @@ impl OsdTarget {
             .index
             .get(&key)
             .ok_or(TargetError::UnknownObject(key))?;
-        let layout = record.layout.clone();
+        let layout = record.layout;
         let size = layout.size().as_bytes();
         if length == 0 || offset.saturating_add(length) > size {
             return Err(TargetError::Stripe(StripeError::PayloadSizeMismatch {
@@ -873,7 +872,7 @@ impl OsdTarget {
             return (repaired, lost);
         }
         for key in self.keys() {
-            let layout = self.index[&key].layout.clone();
+            let layout = self.index[&key].layout;
             match self.stripes.object_status(&layout) {
                 Ok(ObjectStatus::Intact) => {}
                 Ok(ObjectStatus::Degraded) => {
@@ -919,7 +918,7 @@ impl OsdTarget {
             let key = keys[idx];
             idx += 1;
             report.examined += 1;
-            let layout = self.index[&key].layout.clone();
+            let layout = self.index[&key].layout;
             match self.stripes.object_status(&layout) {
                 Ok(ObjectStatus::Intact) => {}
                 Ok(ObjectStatus::Degraded) => {
@@ -963,8 +962,7 @@ impl OsdTarget {
             .index
             .get(&key)
             .ok_or(TargetError::UnknownObject(key))?
-            .layout
-            .clone();
+            .layout;
         self.stripes
             .corrupt_data_chunk(&layout, chunk_index)
             .map_err(TargetError::Stripe)
@@ -1175,7 +1173,7 @@ impl OsdTarget {
         let Some(record) = self.index.get(&key) else {
             return Some(RecoveryOutcome::Skipped(key));
         };
-        let layout = record.layout.clone();
+        let layout = record.layout;
         match self.stripes.object_status(&layout) {
             Ok(ObjectStatus::Intact) => Some(RecoveryOutcome::Skipped(key)),
             Ok(ObjectStatus::Degraded) => {
@@ -1467,7 +1465,7 @@ impl OsdTarget {
                 Ok(ObjectStatus::Lost) | Err(_) => {
                     // Free whatever chunks survive and drop the stripes so
                     // the table holds no entries for unindexed objects.
-                    let layout = record.layout.clone();
+                    let layout = record.layout;
                     self.stripes.remove_object(&layout);
                     self.index.remove(&key);
                     report.lost.push(key);
@@ -1526,7 +1524,7 @@ impl OsdTarget {
         }
         let mut owner_of: BTreeMap<StripeId, ObjectKey> = BTreeMap::new();
         for key in self.keys() {
-            for &sid in self.index[&key].layout.stripes() {
+            for sid in self.index[&key].layout.stripes() {
                 if let Some(prev) = owner_of.insert(sid, key) {
                     violations.push(format!("{sid} is claimed by both {prev} and {key}"));
                 }
